@@ -212,11 +212,14 @@
 //   - DRSTRANGE_WORKERS sizes the experiment engine's worker pool
 //     (default GOMAXPROCS). Output is byte-identical at any count.
 //   - DRSTRANGE_ENGINE selects the inner simulation loop: "event"
-//     (default, tick-skipping) or "ticked" (the reference walk); the
-//     two produce bit-identical results.
+//     (default, one tick-skipping event loop for any shard count) or
+//     "ticked" (the reference walk, a differential oracle); the two
+//     produce bit-identical results.
 //   - DRSTRANGE_EVENTQ selects how the event engine tracks per-shard
-//     wake-up bounds: "heap" (default, indexed min-heap) or "scan"
-//     (linear scan); the two produce bit-identical results.
+//     wake-up bounds: "heap" (default, indexed min-heap with one slot
+//     per shard) or "scan" (linear scan, a differential oracle); the
+//     two produce bit-identical results. The CI matrix runs the whole
+//     test suite under every engine x event-queue combination.
 //   - DRSTRANGE_SHARDS defaults the serve-scenario shard count
 //     (default 1). Warned and ignored on non-serve kinds.
 //   - DRSTRANGE_ROUTER defaults the serve-scenario request router

@@ -452,30 +452,17 @@ func (c *Controller) planDemand(now int64) []bool {
 		return enter
 	}
 
-	if len(c.rngQ) == 0 {
-		c.stallCtr = 0
-		return enter
-	}
-
-	rngWins := c.rngPriorityWins()
-
 	// Starvation prevention: count ticks the losing queue waits while
 	// both sides have work; at the limit, force one arbitration the
 	// other way.
-	bothBusy := c.anyReadQueued()
-	if bothBusy {
-		if c.deprioRNG != !rngWins {
-			c.deprioRNG = !rngWins
-			c.stallCtr = 0
-		}
-		c.stallCtr++
-		if c.stallCtr >= c.cfg.StallLimit {
-			c.forceOverride = true
-			c.stallCtr = 0
-			c.stats.StarvationOverrides++
-		}
-	} else {
+	rngWins, bothBusy := c.countStall(1)
+	if len(c.rngQ) == 0 {
+		return enter
+	}
+	if bothBusy && c.stallCtr >= c.cfg.StallLimit {
+		c.forceOverride = true
 		c.stallCtr = 0
+		c.stats.StarvationOverrides++
 	}
 	if c.forceOverride {
 		rngWins = !rngWins
@@ -544,6 +531,34 @@ func (c *Controller) planDemand(now int64) []bool {
 		enter[cands[i].ch] = true
 	}
 	return enter
+}
+
+// countStall applies n ticks of planDemand's starvation-counter update
+// (Section 5.2): the counter resets while the RNG queue is empty or no
+// regular read waits, resets when the deprioritized side flips, and
+// otherwise grows by one per tick. It reports the arbitration winner
+// (meaningful only with RNG work queued) and whether both sides had
+// work. Every input is queue state, which cannot change during a skip,
+// so AccountSkip replays a skipped run with one call; the limit check
+// stays in planDemand, because NextEventTick never lets a skip reach it.
+//
+//drstrange:noalloc
+func (c *Controller) countStall(n int64) (rngWins, bothBusy bool) {
+	if len(c.rngQ) == 0 {
+		c.stallCtr = 0
+		return false, false
+	}
+	rngWins = c.rngPriorityWins()
+	if !c.anyReadQueued() {
+		c.stallCtr = 0
+		return rngWins, false
+	}
+	if c.deprioRNG != !rngWins {
+		c.deprioRNG = !rngWins
+		c.stallCtr = 0
+	}
+	c.stallCtr += n
+	return rngWins, true
 }
 
 // rngPriorityWins applies the Section 5.2 priority rules: the RNG queue

@@ -12,12 +12,14 @@ package memctrl
 //   - dram.Channel.ActiveTick   (+1 per tick with an open bank),
 //   - Stats.TicksRNGMode        (+1 per tick per channel in RNG mode),
 //   - channelState.greedyIdle   (+1 per idle tick under FillGreedy),
-//   - stallCtr                  (+1 per tick both arbitration sides wait),
+//   - stallCtr                  (+1 per tick both arbitration sides wait,
+//     with planDemand's resets: empty RNG queue, no regular read, a
+//     flip of the deprioritized side),
 //
-// all of which AccountSkip replays in one step. NextEventTick must
-// never overshoot a real state change; it may undershoot freely (the
-// engine just executes a tick that turns out to be a no-op and asks
-// again).
+// all of which AccountSkip replays in one step, resets included.
+// NextEventTick must never overshoot a real state change; it may
+// undershoot freely (the engine just executes a tick that turns out to
+// be a no-op and asks again).
 func (c *Controller) NextEventTick(now int64) int64 {
 	next := c.cfg.Scheduler.NextEventTick(now)
 
@@ -200,7 +202,7 @@ func (c *Controller) AccountSkip(now, n int64) {
 			cs.greedyIdle += n
 		}
 	}
-	if c.cfg.Policy == RNGAware && len(c.rngQ) > 0 && c.anyReadQueued() {
-		c.stallCtr += n
+	if c.cfg.Policy != RNGOblivious {
+		c.countStall(n)
 	}
 }

@@ -3,30 +3,37 @@ package sim
 // The simulation engines. System.StepTo advances a simulation with one
 // of two inner loops over the same component models:
 //
-//   - The event-driven engine (default) walks executed ticks only. After
-//     ticking every component at `now`, it asks each component for
-//     NextEventTick(now) — a lower bound on the next tick at which that
-//     component's state can change — and fast-forwards to the minimum,
-//     batch-crediting the skipped ticks' per-tick accumulators (core
-//     stall counters, RNG-mode tick counts, active-standby energy
-//     ticks, greedy-fill idle counters, starvation counters) through
-//     AccountSkip.
+//   - The event-driven engine (default) is one event loop for any shard
+//     count. It walks executed ticks only: after ticking the due
+//     components at `now`, it asks each for NextEventTick(now) — a
+//     lower bound on the next tick at which that component's state can
+//     change — and fast-forwards to the minimum, crediting the skipped
+//     ticks through AccountSkip.
 //   - The ticked engine (DRSTRANGE_ENGINE=ticked) is the reference
-//     tick-by-tick walk, kept selectable for differential testing.
+//     tick-by-tick walk, a named differential oracle that the CI matrix
+//     runs (as it runs the linear bound scan, eventq.go).
 //
-// The engine invariant: NextEventTick must never overshoot a state
-// change. For every component and every tick t in
+// The engine invariant has two halves. NextEventTick must never
+// overshoot a state change: for every component and every tick t in
 // (now, NextEventTick(now)), ticking the component at t — given that no
-// other component acts either, which the minimum guarantees — must be a
-// no-op up to the accumulators AccountSkip replays. Undershooting is
-// always safe: the engine executes a tick that turns out to be a no-op
-// and asks again. Anything time-based a component adds (a new timer, a
-// new threshold counter) must either be reflected in its NextEventTick
-// bound or force `now+1`.
+// other component acts either, which the minimum guarantees — may
+// change nothing but per-tick counters. And AccountSkip must replay
+// each such per-tick update exactly, resets included: core stall
+// counters, RNG-mode tick counts, active-standby energy ticks,
+// greedy-fill idle counters, and the starvation counter, which a tick
+// resets when the RNG queue is empty, no regular read waits, or the
+// deprioritized side flips. A counter that an executed tick can reset
+// is not a plain accumulator: crediting only its growth over a skip
+// diverges from the ticked engine. Undershooting is always safe: the
+// engine executes a tick that turns out to be a no-op and asks again.
+// Anything time-based a component adds (a new timer, a new threshold
+// counter) must either be reflected in its NextEventTick bound or force
+// `now+1`.
 //
 // Under this invariant the two engines produce bit-identical results —
-// every stat, every figure byte — which TestEngineDifferential*
-// enforces across designs, mechanisms, schedulers, and priorities.
+// every stat, every figure byte — which TestEngineDifferential* and
+// TestEngineLockstepStarvationCounter enforce across designs,
+// mechanisms, schedulers, and priorities.
 //
 // The knob matrix (DRSTRANGE_ENGINE / DRSTRANGE_WORKERS /
 // DRSTRANGE_INSTR, with matching flags on the cmd/ drivers) is defined

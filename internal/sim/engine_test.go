@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
@@ -126,6 +127,63 @@ func TestEngineDifferentialEvaluate(t *testing.T) {
 	}
 }
 
+// TestEngineLockstepStarvationCounter steps an event-engine System and
+// a ticked one through the same serve point in serveSlice slices and
+// requires equal results at every boundary. The point (DR-STRaNGe
+// sharing one channel with mcf at 1280 Mb/s, seed 9) empties the RNG
+// queue with the starvation counter mid-streak at tick 66688; the
+// ticked engine resets the counter at the next tick, so a skip that
+// only adds skipped ticks to it takes one starvation override too many
+// later (tick 73713) and diverges from there on.
+func TestEngineLockstepStarvationCounter(t *testing.T) {
+	cfg := ServeConfig{
+		Design:       DesignDRStrange,
+		Background:   workload.Mix{Name: "mcf", Apps: []string{"mcf"}},
+		Clients:      8,
+		RequestBytes: 8,
+		Arrival:      workload.ArrivalPoisson,
+		WarmupTicks:  20_000,
+		WindowTicks:  1_000_000,
+		Seed:         9,
+		Shards:       1,
+		Router:       RouterRoundRobin,
+		Health:       "off",
+		Admission:    AdmissionNone,
+		Warm:         "off",
+	}.Normalized()
+	const mbps = 1280
+	ratePerTick := mbps * 1e6 / trng.MemCyclesPerSecond / 64
+	type side struct {
+		sys *System
+		src *openArrivals
+	}
+	mk := func(engine string) side {
+		var sys *System
+		underEngine(engine, func() { sys = NewSystem(servePointRunConfig(cfg)) })
+		sys.OnInjectionComplete(func(*InjectedRequest) {})
+		arr, err := workload.NewArrivals(cfg.Arrival, ratePerTick, cfg.Burstiness, cfg.Seed^math.Float64bits(mbps))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return side{sys, &openArrivals{chunk: workload.NewChunked(arr), clients: cfg.Clients}}
+	}
+	event, ticked := mk(EngineEvent), mk(EngineTicked)
+	end := cfg.WarmupTicks + cfg.WindowTicks
+	for event.sys.Now() < 80_000 {
+		for _, sd := range []side{event, ticked} {
+			sys := sd.sys
+			sys.StepTo(sd.src.feed(sys.Now(), end, func(tick int64, client, _, _ int) {
+				sys.InjectRNG(client, tick, 1)
+			}))
+		}
+		ev, tk := event.sys.Result(), ticked.sys.Result()
+		if !reflect.DeepEqual(ev, tk) {
+			t.Fatalf("engines diverge at the boundary before tick %d\n ticked: %+v\n event:  %+v",
+				event.sys.Now(), tk.Ctrl, ev.Ctrl)
+		}
+	}
+}
+
 // tickHarness builds the component graph exactly as Run does, exposing
 // the raw tick loop for the allocation test.
 type tickHarness struct {
@@ -188,6 +246,53 @@ func TestHotLoopZeroAllocs(t *testing.T) {
 		h.run(50000) // reach steady-state queue/freelist occupancy
 		avg := testing.AllocsPerRun(20, func() { h.run(2000) })
 		if avg != 0 {
+			t.Errorf("%s: %v allocs per 2000-tick batch in steady state, want 0", tc.name, avg)
+		}
+	}
+}
+
+// TestStepToZeroAllocs pins the same property on the public stepping
+// path — NewSystem, InjectRNG with a completion hook, StepTo — that the
+// serving layer drives: once the injection freelist, the front-end
+// queues and the controller reach steady state, a 2000-tick batch of
+// injections and stepping allocates nothing, on one shard and on four
+// join-shortest-queue shards, with and without mcf in the background.
+func TestStepToZeroAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation steady state needs a long warmup")
+	}
+	for _, tc := range []struct {
+		name   string
+		shards int
+		apps   []string
+	}{
+		{"1shard", 1, nil},
+		{"1shard+mcf", 1, []string{"mcf"}},
+		{"4shard-jsq", 4, nil},
+		{"4shard-jsq+mcf", 4, []string{"mcf"}},
+	} {
+		sys := NewSystem(RunConfig{
+			Design:       DesignDRStrange,
+			Mix:          workload.Mix{Name: tc.name, Apps: tc.apps},
+			Instructions: serveTarget,
+			Clients:      8,
+			Shards:       tc.shards,
+			Router:       RouterJSQ,
+		})
+		sys.OnInjectionComplete(func(*InjectedRequest) {})
+		n := 0
+		batch := func() {
+			start := sys.Now()
+			for at := start; at < start+2000; at += 25 {
+				sys.InjectRNG(n%8, at, 1)
+				n++
+			}
+			sys.StepTo(start + 1999)
+		}
+		for range 50 {
+			batch() // reach steady-state queue/freelist occupancy
+		}
+		if avg := testing.AllocsPerRun(20, batch); avg != 0 {
 			t.Errorf("%s: %v allocs per 2000-tick batch in steady state, want 0", tc.name, avg)
 		}
 	}

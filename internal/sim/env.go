@@ -15,9 +15,9 @@ package sim
 //	DRSTRANGE_ENGINE   "event" (default) or "ticked" — inner-loop
 //	                   selection; the two engines produce bit-identical
 //	                   results.
-//	DRSTRANGE_EVENTQ   "heap" (default) or "scan" — the sharded event
-//	                   engine's next-event index (indexed bound heap vs
-//	                   the reference linear scan); the two modes produce
+//	DRSTRANGE_EVENTQ   "heap" (default) or "scan" — the event engine's
+//	                   next-event index (indexed bound heap vs the
+//	                   reference linear scan); the two modes produce
 //	                   bit-identical results.
 //	DRSTRANGE_SHARDS   positive integer — channel shard count of serve
 //	                   scenarios (default 1). Serve-only: warned about

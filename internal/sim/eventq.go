@@ -1,36 +1,30 @@
 package sim
 
-// The sharded event engine's next-event index. With one shard the event
-// engine's per-event cost is a scan over that shard's components; with
-// N shards a naive generalization re-scans every shard at every event —
-// O(N) per event, which defeats the point of skipping ticks once
-// hundred-shard configs are in play. Instead the sharded loop keeps one
-// cached next-event bound per shard and indexes the bounds in a binary
-// min-heap with lazy invalidation:
+// The event engine's next-event index. The event loop (System.StepTo)
+// keeps one cached next-event bound per shard and must find the minimum
+// after every event. A linear min-over-shards scan costs O(N) per event,
+// which defeats the point of skipping ticks once hundred-shard configs
+// are in play, so by default the bounds live in an indexed binary
+// min-heap with one slot per shard: executing a shard dirties its
+// cached bound, and the next lookup recomputes only the dirty shards'
+// bounds and sifts their slots (O(log n) each).
 //
-//   - Executing a shard dirties its cached bound; the next event
-//     recomputes only the dirty shards' bounds and pushes fresh heap
-//     entries (O(log n) each).
-//   - Stale entries (generation mismatch) are popped and discarded when
-//     they surface at the top; the heap compacts itself when stale
-//     entries outnumber live ones.
-//
-// The linear min-over-shards scan stays selectable (DRSTRANGE_EVENTQ=
-// scan, SetEventQueue) as the differential reference: both modes must
-// produce byte-identical results on every golden, exactly like the
-// ticked engine pins the event engine. The knob mirrors the engine knob
-// in engine.go; validation lives in env.go.
+// The linear scan stays selectable (DRSTRANGE_EVENTQ=scan,
+// SetEventQueue) as a named differential oracle, run by the CI matrix:
+// both modes must produce byte-identical results on every golden,
+// exactly like the ticked engine pins the event engine. The knob
+// mirrors the engine knob in engine.go; validation lives in env.go.
 
 import "sync"
 
 // Event-queue mode names accepted by SetEventQueue and
 // DRSTRANGE_EVENTQ.
 const (
-	// EventQueueHeap is the indexed binary heap with lazy invalidation
-	// (default): O(log n) per event in the shard count.
+	// EventQueueHeap is the indexed binary heap (default): O(log n) per
+	// event in the shard count.
 	EventQueueHeap = "heap"
-	// EventQueueScan is the reference linear min-over-shards scan, kept
-	// selectable for differential testing.
+	// EventQueueScan is the reference linear min-over-shards scan, the
+	// heap's differential oracle.
 	EventQueueScan = "scan"
 )
 
@@ -39,9 +33,9 @@ var (
 	eventqSet string // SetEventQueue override; "" = unset
 )
 
-// EventQueue reports which next-event index the sharded event engine
-// uses: the SetEventQueue override if set, else DRSTRANGE_EVENTQ, else
-// the indexed heap.
+// EventQueue reports which next-event index the event engine uses:
+// the SetEventQueue override if set, else DRSTRANGE_EVENTQ, else the
+// indexed heap.
 func EventQueue() string {
 	eventqMu.Lock()
 	defer eventqMu.Unlock()
@@ -69,113 +63,75 @@ func SetEventQueue(name string) {
 	eventqSet = name
 }
 
-// heapEntry is one indexed bound: shard's next-event tick as of the
-// generation gen. An entry whose gen no longer matches the shard's is
-// stale and is discarded when it reaches the top.
-type heapEntry struct {
-	tick  int64
-	shard int32
-	gen   uint32
-}
-
-// boundHeap is a plain binary min-heap of heapEntry ordered by tick,
-// ties by shard index (determinism never depends on this — equal-tick
+// boundHeap is an indexed binary min-heap over the shards' cached
+// next-event bounds: one slot per shard, ordered by tick with ties by
+// shard index (determinism never depends on the tie-break — equal-tick
 // shards all execute at that tick — but a total order keeps the
-// structure canonical).
+// structure canonical). Updating a shard's bound sifts its slot in
+// place, so the heap never holds more than one entry per shard.
 type boundHeap struct {
-	entries []heapEntry
+	order []int32 // heap order: shard indices
+	slot  []int32 // slot[k] is shard k's position in order
+	tick  []int64 // tick[k] is shard k's current bound
 }
 
-func (h *boundHeap) len() int { return len(h.entries) }
-
-func (h *boundHeap) less(a, b heapEntry) bool {
-	if a.tick != b.tick {
-		return a.tick < b.tick
+// newBoundHeap builds the heap for n shards, every bound at farFuture
+// until the shard's first execution sets it.
+func newBoundHeap(n int) boundHeap {
+	h := boundHeap{order: make([]int32, n), slot: make([]int32, n), tick: make([]int64, n)}
+	for i := range h.order {
+		h.order[i], h.slot[i], h.tick[i] = int32(i), int32(i), farFuture
 	}
-	return a.shard < b.shard
+	return h
 }
 
+// min returns the smallest bound in the heap (a System has at least one
+// shard).
+//
 //drstrange:noalloc
-func (h *boundHeap) push(e heapEntry) {
-	h.entries = append(h.entries, e)
-	i := len(h.entries) - 1
+func (h *boundHeap) min() int64 { return h.tick[h.order[0]] }
+
+// set updates shard's bound to tick and restores the heap order.
+//
+//drstrange:noalloc
+func (h *boundHeap) set(shard int32, tick int64) {
+	h.tick[shard] = tick
+	i := int(h.slot[shard])
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(h.entries[i], h.entries[parent]) {
+		if !h.less(i, parent) {
 			break
 		}
-		h.entries[i], h.entries[parent] = h.entries[parent], h.entries[i]
+		h.swap(i, parent)
 		i = parent
 	}
-}
-
-//drstrange:noalloc
-func (h *boundHeap) peek() (heapEntry, bool) {
-	if len(h.entries) == 0 {
-		return heapEntry{}, false
-	}
-	return h.entries[0], true
-}
-
-//drstrange:noalloc
-func (h *boundHeap) pop() {
-	n := len(h.entries) - 1
-	h.entries[0] = h.entries[n]
-	h.entries[n] = heapEntry{}
-	h.entries = h.entries[:n]
-	if n == 0 {
-		return
-	}
-	i := 0
+	n := len(h.order)
 	for {
-		l, r := 2*i+1, 2*i+2
 		min := i
-		if l < n && h.less(h.entries[l], h.entries[min]) {
+		if l := 2*i + 1; l < n && h.less(l, min) {
 			min = l
 		}
-		if r < n && h.less(h.entries[r], h.entries[min]) {
+		if r := 2*i + 2; r < n && h.less(r, min) {
 			min = r
 		}
 		if min == i {
 			return
 		}
-		h.entries[i], h.entries[min] = h.entries[min], h.entries[i]
+		h.swap(i, min)
 		i = min
 	}
 }
 
-// compact drops stale entries in place and re-heapifies: called when
-// lazy deletion has let garbage outnumber live entries, so heap size
-// stays O(live shards).
-func (h *boundHeap) compact(isLive func(heapEntry) bool) {
-	live := h.entries[:0]
-	for _, e := range h.entries {
-		if isLive(e) {
-			live = append(live, e)
-		}
+func (h *boundHeap) less(i, j int) bool {
+	a, b := h.order[i], h.order[j]
+	if h.tick[a] != h.tick[b] {
+		return h.tick[a] < h.tick[b]
 	}
-	for i := len(live); i < len(h.entries); i++ {
-		h.entries[i] = heapEntry{}
-	}
-	h.entries = live
-	// Floyd heapify: sift down from the last internal node.
-	n := len(h.entries)
-	for i := n/2 - 1; i >= 0; i-- {
-		j := i
-		for {
-			l, r := 2*j+1, 2*j+2
-			min := j
-			if l < n && h.less(h.entries[l], h.entries[min]) {
-				min = l
-			}
-			if r < n && h.less(h.entries[r], h.entries[min]) {
-				min = r
-			}
-			if min == j {
-				break
-			}
-			h.entries[j], h.entries[min] = h.entries[min], h.entries[j]
-			j = min
-		}
-	}
+	return a < b
+}
+
+func (h *boundHeap) swap(i, j int) {
+	h.order[i], h.order[j] = h.order[j], h.order[i]
+	h.slot[h.order[i]] = int32(i)
+	h.slot[h.order[j]] = int32(j)
 }

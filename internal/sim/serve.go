@@ -396,9 +396,13 @@ const serveSlice = 1 << 13
 //   - The drain phase polls the O(1) outstanding count instead of
 //     re-scanning a request slice.
 //
-// The figure bytes are pinned against the old pre-materializing,
-// sort-based collection (TestServePointMatchesReferenceCollection and
-// the testdata/serve_golden.txt pin): the arrival draw stream, the
+// The arrival process is the only thing that differs between an
+// open-loop point and a closed-loop one (ThinkTicks > 0), and it hides
+// behind arrivalSource; the slice, checkpoint and drain loop and the
+// accounting are shared. The figure bytes are pinned against the old
+// pre-materializing, sort-based collection
+// (TestServePointMatchesReferenceCollection and the
+// testdata/serve_golden.txt pin): the arrival draw stream, the
 // injection schedule, and the nearest-rank percentiles are all exactly
 // what the reference produced.
 //
@@ -407,9 +411,6 @@ func servePoint(ctx context.Context, cfg ServeConfig, mbps float64) ServePoint {
 	if mbps <= 0 {
 		panic("sim: offered load must be positive")
 	}
-	if cfg.ThinkTicks > 0 {
-		return servePointClosed(ctx, cfg, mbps)
-	}
 	release := acquireSlot()
 	defer release()
 
@@ -417,31 +418,56 @@ func servePoint(ctx context.Context, cfg ServeConfig, mbps float64) ServePoint {
 	reqBits := float64(cfg.RequestBytes * 8)
 	// Offered Mb/s -> requests per memory cycle (one cycle is 5 ns).
 	ratePerTick := mbps * 1e6 / trng.MemCyclesPerSecond / reqBits
-
 	seed := cfg.Seed ^ math.Float64bits(mbps)
-	arr, err := workload.NewArrivals(cfg.Arrival, ratePerTick, cfg.Burstiness, seed)
-	if err != nil {
-		//drstrange:alloc-ok cold path: Sprintf only feeds the unreachable-config panic
-		panic(fmt.Sprintf("sim: %v", err)) // unreachable: ServeLoadCtx vetted the name
+	p := ServePoint{OfferedMbps: mbps}
+
+	var src arrivalSource
+	if cfg.ThinkTicks > 0 {
+		// The closed-loop population is sized from the offered load by
+		// Little's law — pop = rate × think, so the point demands its
+		// configured load when service is instant and self-throttles as
+		// the server falls behind (the defining closed-loop property).
+		pop := int(math.Round(ratePerTick * float64(cfg.ThinkTicks)))
+		if pop < 1 {
+			pop = 1
+		}
+		p.Population = pop
+		src = newClosedArrivals(pop, cfg.ThinkTicks, seed)
+	} else {
+		arr, err := workload.NewArrivals(cfg.Arrival, ratePerTick, cfg.Burstiness, seed)
+		if err != nil {
+			//drstrange:alloc-ok cold path: Sprintf only feeds the unreachable-config panic
+			panic(fmt.Sprintf("sim: %v", err)) // unreachable: ServeLoadCtx vetted the name
+		}
+		src = &openArrivals{chunk: workload.NewChunked(arr), clients: cfg.Clients}
+	}
+
+	// A warm point forks from the sweep-shared warm image instead of
+	// re-running the warmup: the image already sits at WarmupTicks. The
+	// arrival draw stream still starts from tick 0 (so the
+	// measured-window schedule and client rotation match the cold run
+	// draw for draw), but arrivals before the resume tick are skipped —
+	// the shared warm image was built without them, which is the warm
+	// mode's one semantic difference.
+	var sys *System
+	injectFrom := int64(0)
+	if cfg.Warm == "on" {
+		sys = RestoreSystem(warmImage(cfg))
+		injectFrom = cfg.WarmupTicks
+	} else {
+		rcfg := servePointRunConfig(cfg)
+		if p.Population > 0 {
+			rcfg.Clients = p.Population
+		}
+		sys = NewSystem(rcfg)
 	}
 
 	healthOn := cfg.Health == "on"
-	warmOn := cfg.Warm == "on"
-	var sys *System
-	if warmOn {
-		// Fork this point from the sweep-shared warm image instead of
-		// re-running the warmup: the image already sits at WarmupTicks.
-		sys = RestoreSystem(warmImage(cfg))
-	} else {
-		sys = NewSystem(servePointRunConfig(cfg))
-	}
-
 	end := cfg.WarmupTicks + cfg.WindowTicks
 	if healthOn {
 		sys.SetAvailabilityWindow(cfg.WarmupTicks, end)
 	}
 	classes := classTable(cfg.Classes)
-	p := ServePoint{OfferedMbps: mbps}
 	var (
 		hist              metrics.Histogram
 		sumTicks          int64
@@ -456,55 +482,72 @@ func servePoint(ctx context.Context, cfg ServeConfig, mbps float64) ServePoint {
 	}
 	//drstrange:alloc-ok one closure per serve point, not per tick; the hot loop only invokes it
 	onDone := func(r *InjectedRequest) {
-		if r.Failed {
+		src.done(r)
+		switch {
+		case r.Failed:
 			// Deadline-failed at a tripped shard: counted by the
 			// availability stats (ServeHealth.FailedRequests), never by
 			// the serving metrics.
-			return
-		}
-		if r.Shed || r.Missed {
+		case r.Shed || r.Missed:
 			// Refused by admission or failed at the class deadline: an
 			// error outcome, visible in the shed/miss counters but never
 			// in the latency percentiles.
 			if r.SubmitTick >= cfg.WarmupTicks {
 				accountRefusal(&p, cs, r)
 			}
-			return
-		}
-		if r.FinishTick >= cfg.WarmupTicks && r.FinishTick < end {
-			completedInWindow++
-		}
-		if r.SubmitTick < cfg.WarmupTicks {
-			return // warmup request: load, not measurement
-		}
-		p.Completed++
-		l := r.Latency()
-		hist.Add(l)
-		sumTicks += l
-		bufWords += int64(r.BufferWords)
-		doneWords += int64(r.Words)
-		if cs != nil && r.Class >= 0 {
-			cs[r.Class].accountCompletion(classes, r, l, reqBits, cfg.WarmupTicks, end)
+		default:
+			if r.FinishTick >= cfg.WarmupTicks && r.FinishTick < end {
+				completedInWindow++
+			}
+			if r.SubmitTick < cfg.WarmupTicks {
+				return // warmup request: load, not measurement
+			}
+			p.Completed++
+			l := r.Latency()
+			hist.Add(l)
+			sumTicks += l
+			bufWords += int64(r.BufferWords)
+			doneWords += int64(r.Words)
+			if cs != nil && r.Class >= 0 {
+				cs[r.Class].accountCompletion(classes, r, l, reqBits, cfg.WarmupTicks, end)
+			}
 		}
 	}
 	sys.OnInjectionComplete(onDone)
+
+	// submit injects one arrival; seq picks its class. attempt > 0 marks
+	// a closed-loop retry.
+	//drstrange:alloc-ok one closure per serve point, not per tick; the hot loop only invokes it
+	submit := func(tick int64, client, seq, attempt int) {
+		if tick < injectFrom {
+			return
+		}
+		if tick >= cfg.WarmupTicks {
+			p.Submitted++
+			if attempt > 0 {
+				p.Retried++
+			}
+			if cs != nil {
+				a := &cs[seq%len(classes)]
+				a.submitted++
+				if attempt > 0 {
+					a.retried++
+				}
+			}
+		}
+		if classes != nil {
+			sys.InjectRNGClass(client, tick, words, seq%len(classes))
+		} else {
+			sys.InjectRNG(client, tick, words)
+		}
+	}
 
 	// Advance in bounded slices, feeding each slice's arrivals to the
 	// injection port just before stepping across it. The StepTo slicing
 	// invariant keeps the walk bit-identical to one unsliced call, and
 	// injections carry timestamps, so chunked feeding is equivalent to
-	// the old whole-window pre-generation — minus the O(all arrivals)
-	// schedule.
+	// whole-window pre-generation — minus the O(all arrivals) schedule.
 	//
-	// A warm point resumes at WarmupTicks: the arrival draw stream still
-	// starts from tick 0 (so the measured-window schedule and client
-	// rotation match the cold run draw for draw), but arrivals before
-	// the resume tick are skipped — the shared warm image was built
-	// without them, which is the warm mode's one semantic difference.
-	injectFrom := int64(0)
-	if warmOn {
-		injectFrom = cfg.WarmupTicks
-	}
 	// Periodic checkpoint/resume (long-window points): every Checkpoint
 	// ticks the System is snapshotted and replaced by its own restore,
 	// exercising the full snapshot path on the measured run. Restore ≡
@@ -513,44 +556,23 @@ func servePoint(ctx context.Context, cfg ServeConfig, mbps float64) ServePoint {
 	if cfg.Checkpoint > 0 {
 		nextCkpt = sys.Now() + cfg.Checkpoint
 	}
-	chunk := workload.NewChunked(arr)
-	reqIdx := 0
 	for sys.Now() < end {
 		if ctx.Err() != nil {
 			return ServePoint{}
 		}
-		target := sys.Now() + serveSlice
-		if target > end-1 {
-			target = end - 1
-		}
-		//drstrange:alloc-ok per-slice, not per-tick, and non-escaping; pinned by the serve allocs/op gate
-		chunk.TakeThrough(target, end, func(tick int64) {
-			if tick >= cfg.WarmupTicks {
-				p.Submitted++
-				if cs != nil {
-					cs[reqIdx%len(classes)].submitted++
-				}
-			}
-			if tick >= injectFrom {
-				if classes != nil {
-					sys.InjectRNGClass(reqIdx%cfg.Clients, tick, words, reqIdx%len(classes))
-				} else {
-					sys.InjectRNG(reqIdx%cfg.Clients, tick, words)
-				}
-			}
-			reqIdx++
-		})
-		sys.StepTo(target)
+		sys.StepTo(src.feed(sys.Now(), end, submit))
 		if sys.Now() >= nextCkpt {
 			sys = RestoreSystem(sys.Snapshot())
 			sys.OnInjectionComplete(onDone)
 			nextCkpt = sys.Now() + cfg.Checkpoint
 		}
 	}
-	// Drain: an open-loop measurement must not censor slow requests,
-	// so step until every one completes. The horizon bounds a saturated
-	// backlog (arrivals stopped at end, so it always drains; 20 extra
-	// windows covers offered loads far beyond capacity).
+	// Drain: a measurement must not censor slow requests, so step until
+	// every one completes. The horizon bounds a saturated backlog
+	// (arrivals stopped at end — closed-loop clients stop resubmitting,
+	// since wake-ups pushed by drain-phase completions are never popped —
+	// so it always drains; 20 extra windows covers offered loads far
+	// beyond capacity).
 	horizon := end + 20*cfg.WindowTicks
 	for sys.OutstandingInjections() > 0 && sys.Now() < horizon {
 		if ctx.Err() != nil {
@@ -591,6 +613,104 @@ func servePoint(ctx context.Context, cfg ServeConfig, mbps float64) ServePoint {
 		p.PerClass = classStats(classes, cs, cfg.WindowTicks)
 	}
 	return p
+}
+
+// arrivalSource is a serve point's arrival process: open-loop arrivals
+// (openArrivals) or a closed-loop client population (closedArrivals).
+type arrivalSource interface {
+	// feed submits the arrivals of the slice that starts at now, in
+	// tick order, and returns the slice's last tick (at most end-1).
+	// seq picks the request's class; attempt > 0 marks a retry.
+	feed(now, end int64, submit func(tick int64, client, seq, attempt int)) int64
+	// done reports a finished request — served, shed, missed or failed
+	// — back to the arrival process.
+	done(r *InjectedRequest)
+}
+
+// openArrivals is the open-loop arrival process: aggregate arrivals
+// drawn one serveSlice ahead, rotating over the clients and classes in
+// arrival order. Completions do not feed back.
+type openArrivals struct {
+	chunk   *workload.ChunkedArrivals
+	clients int
+	n       int // arrivals drawn so far
+}
+
+//drstrange:noalloc
+func (o *openArrivals) feed(now, end int64, submit func(tick int64, client, seq, attempt int)) int64 {
+	target := now + serveSlice
+	if target > end-1 {
+		target = end - 1
+	}
+	//drstrange:alloc-ok per-slice, not per-tick, and non-escaping; pinned by the serve allocs/op gate
+	o.chunk.TakeThrough(target, end, func(tick int64) {
+		submit(tick, o.n%o.clients, o.n, 0)
+		o.n++
+	})
+	return target
+}
+
+func (o *openArrivals) done(*InjectedRequest) {}
+
+// closedArrivals is the closed-loop arrival process: each client's life
+// cycle runs through workload.ClosedLoop — submit, wait for the
+// completion hook, think (or back off after a shed/miss/failure),
+// submit again — and a client's class is fixed by its index.
+// Everything the loop consumes — completion ticks, think draws, backoff
+// jitter — is engine-invariant, so the schedule is byte-identical
+// across both engines and both event-queue modes.
+type closedArrivals struct {
+	cl    *workload.ClosedLoop
+	slice int64
+}
+
+// newClosedArrivals builds a population of pop clients with mean think
+// time think. Wake-ups are popped and injected at executed ticks
+// between StepTo slices, so the slice is bounded by a quarter of the
+// think time (a completion's follow-up submission lands promptly), by
+// serveSlice above, and by a floor below.
+func newClosedArrivals(pop int, think int64, seed uint64) *closedArrivals {
+	slice := think / 4
+	if slice > serveSlice {
+		slice = serveSlice
+	}
+	if slice < 64 {
+		slice = 64
+	}
+	return &closedArrivals{cl: workload.NewClosedLoop(pop, think, seed), slice: slice}
+}
+
+//drstrange:noalloc
+func (c *closedArrivals) feed(now, end int64, submit func(tick int64, client, seq, attempt int)) int64 {
+	for {
+		client, attempt, ok := c.cl.PopReady(now)
+		if !ok {
+			break
+		}
+		submit(now, client, client, attempt)
+	}
+	target := now + c.slice
+	if nr := c.cl.NextReady(); nr <= target {
+		// Stop exactly at the next known wake-up so its submission is
+		// injected at its ready tick, not a slice boundary later.
+		target = nr - 1
+	}
+	if target > end-1 {
+		target = end - 1
+	}
+	if target < now {
+		target = now
+	}
+	return target
+}
+
+//drstrange:noalloc
+func (c *closedArrivals) done(r *InjectedRequest) {
+	if r.Failed || r.Shed || r.Missed {
+		c.cl.OnFailure(r.Client, r.FinishTick)
+		return
+	}
+	c.cl.OnSuccess(r.Client, r.FinishTick)
 }
 
 // classAcc is one request class's running accumulators while a point
@@ -672,181 +792,6 @@ func classStats(classes []RequestClass, cs []classAcc, windowTicks int64) []Clas
 		out[i] = st
 	}
 	return out
-}
-
-// servePointClosed measures one offered-load point under a closed-loop
-// client population (ThinkTicks > 0). The population is sized from the
-// offered load by Little's law — pop = rate × think, so the point
-// demands its configured load when service is instant and
-// self-throttles as the server falls behind (the defining closed-loop
-// property). Each client's life cycle runs through workload.ClosedLoop:
-// submit, wait for the completion hook, think (or back off after a
-// shed/miss/failure), submit again. Wake-ups are popped and injected at
-// executed ticks between StepTo slices; the slice is bounded by a
-// quarter of the think time so a completion's next submission lands
-// promptly. Everything the loop consumes — completion ticks, think
-// draws, backoff jitter — is engine-invariant, so the schedule is
-// byte-identical across both engines and both event-queue modes.
-//
-//drstrange:noalloc
-func servePointClosed(ctx context.Context, cfg ServeConfig, mbps float64) ServePoint {
-	release := acquireSlot()
-	defer release()
-
-	words := (cfg.RequestBytes + 7) / 8
-	reqBits := float64(cfg.RequestBytes * 8)
-	ratePerTick := mbps * 1e6 / trng.MemCyclesPerSecond / reqBits
-	pop := int(math.Round(ratePerTick * float64(cfg.ThinkTicks)))
-	if pop < 1 {
-		pop = 1
-	}
-
-	seed := cfg.Seed ^ math.Float64bits(mbps)
-	classes := classTable(cfg.Classes)
-	rcfg := servePointRunConfig(cfg)
-	rcfg.Clients = pop
-	sys := NewSystem(rcfg)
-	cl := workload.NewClosedLoop(pop, cfg.ThinkTicks, seed)
-
-	healthOn := cfg.Health == "on"
-	end := cfg.WarmupTicks + cfg.WindowTicks
-	if healthOn {
-		sys.SetAvailabilityWindow(cfg.WarmupTicks, end)
-	}
-	p := ServePoint{OfferedMbps: mbps, Population: pop}
-	var (
-		hist              metrics.Histogram
-		sumTicks          int64
-		bufWords          int64
-		doneWords         int64
-		completedInWindow int64
-		cs                []classAcc
-	)
-	if len(classes) > 0 {
-		//drstrange:alloc-ok one slice per serve point, sized to the class table
-		cs = make([]classAcc, len(classes))
-	}
-	//drstrange:alloc-ok one closure per serve point, not per tick; the hot loop only invokes it
-	onDone := func(r *InjectedRequest) {
-		finish := r.FinishTick
-		if r.Failed || r.Shed || r.Missed {
-			if !r.Failed && r.SubmitTick >= cfg.WarmupTicks {
-				accountRefusal(&p, cs, r)
-			}
-			cl.OnFailure(r.Client, finish)
-			return
-		}
-		if finish >= cfg.WarmupTicks && finish < end {
-			completedInWindow++
-		}
-		if r.SubmitTick >= cfg.WarmupTicks {
-			p.Completed++
-			l := r.Latency()
-			hist.Add(l)
-			sumTicks += l
-			bufWords += int64(r.BufferWords)
-			doneWords += int64(r.Words)
-			if cs != nil && r.Class >= 0 {
-				cs[r.Class].accountCompletion(classes, r, l, reqBits, cfg.WarmupTicks, end)
-			}
-		}
-		cl.OnSuccess(r.Client, finish)
-	}
-	sys.OnInjectionComplete(onDone)
-
-	// The closed-loop slice: small enough relative to the think time
-	// that a completion's follow-up submission is injected promptly
-	// (wake-ups landing inside an executed slice are only noticed at its
-	// boundary), bounded by the open-loop slice above and a floor below.
-	slice := cfg.ThinkTicks / 4
-	if slice > serveSlice {
-		slice = serveSlice
-	}
-	if slice < 64 {
-		slice = 64
-	}
-	for sys.Now() < end {
-		if ctx.Err() != nil {
-			return ServePoint{}
-		}
-		now := sys.Now()
-		for {
-			client, attempt, ok := cl.PopReady(now)
-			if !ok {
-				break
-			}
-			if now >= cfg.WarmupTicks {
-				p.Submitted++
-				if attempt > 0 {
-					p.Retried++
-				}
-				if cs != nil {
-					a := &cs[client%len(classes)]
-					a.submitted++
-					if attempt > 0 {
-						a.retried++
-					}
-				}
-			}
-			if classes != nil {
-				sys.InjectRNGClass(client, now, words, client%len(classes))
-			} else {
-				sys.InjectRNG(client, now, words)
-			}
-		}
-		target := now + slice
-		if nr := cl.NextReady(); nr <= target {
-			// Stop exactly at the next known wake-up so its submission
-			// is injected at its ready tick, not a slice boundary later.
-			target = nr - 1
-		}
-		if target > end-1 {
-			target = end - 1
-		}
-		if target < now {
-			target = now
-		}
-		sys.StepTo(target)
-	}
-	// Drain: clients stop resubmitting past end (wake-ups pushed by
-	// drain-phase completions are simply never popped), and the
-	// outstanding population is at most pop, so the horizon is generous.
-	horizon := end + 20*cfg.WindowTicks
-	for sys.OutstandingInjections() > 0 && sys.Now() < horizon {
-		if ctx.Err() != nil {
-			return ServePoint{}
-		}
-		sys.StepTo(sys.Now() + 4095)
-	}
-
-	achievedBits := float64(completedInWindow) * reqBits
-	p.AchievedMbps = achievedBits / float64(cfg.WindowTicks) * trng.MemCyclesPerSecond / 1e6
-	if doneWords > 0 {
-		p.BufferHitRate = float64(bufWords) / float64(doneWords)
-	}
-	if hist.N() > 0 {
-		p.MeanTicks = float64(sumTicks) / float64(hist.N())
-		p.P50 = hist.Percentile(0.50)
-		p.P95 = hist.Percentile(0.95)
-		p.P99 = hist.Percentile(0.99)
-		p.P999 = hist.Percentile(0.999)
-	}
-	p.PeakOutstanding = int64(sys.PeakOutstandingInjections())
-	p.RecycledRequests = sys.RecycledInjections()
-	p.LatencyBins = hist.Bins()
-	if cfg.Shards > 1 {
-		p.Shards = cfg.Shards
-		p.Router = cfg.Router
-		p.PerShard = sys.ShardStats()
-	}
-	if healthOn {
-		h := sys.HealthStats(cfg.WindowTicks)
-		p.Health = &h
-	}
-	if cs != nil {
-		p.PerClass = classStats(classes, cs, cfg.WindowTicks)
-	}
-	return p
 }
 
 // servePointRunConfig lowers a normalized ServeConfig onto the

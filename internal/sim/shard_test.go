@@ -13,8 +13,8 @@ import (
 // slicings, and (for shards=1) against the single-channel code path
 // the historical goldens pin.
 
-// underEventQueue runs f with the sharded event engine's next-event
-// index forced to mode, restoring the default afterwards.
+// underEventQueue runs f with the event engine's next-event index
+// forced to mode, restoring the default afterwards.
 func underEventQueue(mode string, f func()) {
 	SetEventQueue(mode)
 	defer SetEventQueue("")
@@ -305,37 +305,55 @@ func TestRouterPolicies(t *testing.T) {
 	}
 }
 
-// TestBoundHeap exercises the indexed event queue directly: ordering,
-// lazy staleness via compact, and tick/shard tie-breaks.
+// TestBoundHeap exercises the indexed event queue directly: the
+// minimum tracks key updates in both directions, ties break by shard
+// index, and every slot stays where the index says it is.
 func TestBoundHeap(t *testing.T) {
-	var h boundHeap
-	for _, e := range []heapEntry{
-		{tick: 50, shard: 1, gen: 1},
-		{tick: 10, shard: 2, gen: 1},
-		{tick: 10, shard: 0, gen: 1},
-		{tick: 30, shard: 3, gen: 1},
-		{tick: 10, shard: 2, gen: 2}, // supersedes the gen-1 entry
-	} {
-		h.push(e)
+	h := newBoundHeap(5)
+	if got := h.min(); got != farFuture {
+		t.Fatalf("fresh heap min = %d, want farFuture", got)
 	}
-	gens := map[int32]uint32{0: 1, 1: 1, 2: 2, 3: 1}
-	h.compact(func(e heapEntry) bool { return gens[e.shard] == e.gen })
-	if h.len() != 4 {
-		t.Fatalf("compact kept %d entries, want 4", h.len())
+	ticks := []int64{farFuture, farFuture, farFuture, farFuture, farFuture}
+	set := func(shard int32, tick int64) {
+		h.set(shard, tick)
+		ticks[shard] = tick
+		want := farFuture
+		for _, v := range ticks {
+			if v < want {
+				want = v
+			}
+		}
+		if got := h.min(); got != want {
+			t.Fatalf("after set(%d, %d): min = %d, want %d", shard, tick, got, want)
+		}
+		for k := range ticks {
+			if h.order[h.slot[k]] != int32(k) {
+				t.Fatalf("after set(%d, %d): slot index of shard %d is stale", shard, tick, k)
+			}
+		}
+		for i := 1; i < len(h.order); i++ {
+			if h.less(i, (i-1)/2) {
+				t.Fatalf("after set(%d, %d): heap order violated at slot %d", shard, tick, i)
+			}
+		}
 	}
-	var got []heapEntry
-	for h.len() > 0 {
-		e, _ := h.peek()
-		got = append(got, e)
-		h.pop()
+	set(1, 50)
+	set(2, 10)
+	set(0, 10)
+	set(3, 30)
+	set(4, 40)
+	if top := h.order[0]; top != 0 {
+		t.Errorf("tie at tick 10: top shard %d, want 0", top)
 	}
-	want := []heapEntry{
-		{tick: 10, shard: 0, gen: 1},
-		{tick: 10, shard: 2, gen: 2},
-		{tick: 30, shard: 3, gen: 1},
-		{tick: 50, shard: 1, gen: 1},
+	set(0, 60) // sift down
+	set(4, 5)  // sift up
+	set(2, 5)  // tie with shard 4 moves ahead of it
+	if top := h.order[0]; top != 2 {
+		t.Errorf("tie at tick 5: top shard %d, want 2", top)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("heap drain order %+v, want %+v", got, want)
+	rng := uint64(1)
+	for i := 0; i < 500; i++ {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		set(int32(rng>>33)%5, int64(rng>>40)%100)
 	}
 }

@@ -118,6 +118,7 @@ func cloneSystem(s *System) *System {
 		admitMode:   s.admitMode,
 		admitDepth:  s.admitDepth,
 		shedMinPrio: s.shedMinPrio,
+		heap:        newBoundHeap(len(s.shards)),
 	}
 
 	for _, sh := range s.shards {
@@ -177,7 +178,6 @@ func cloneSystem(s *System) *System {
 		// state (a pure function, so the recomputed bound is identical).
 		sh2.boundValid = false
 		sh2.queuedDirty = true
-		sh2.gen = 0
 		sh2.coresStalled = false
 		cp.dirty = append(cp.dirty, int32(sh2.idx))
 

@@ -25,16 +25,16 @@ import (
 // the serving shard per request at its arrival tick.
 //
 // Time advances only through Step/StepTo, using the engine selected at
-// construction (Engine()): the event-driven engine skips ticks no
-// component can act on, the ticked engine walks every cycle. The
-// sharded event loop additionally executes only the shards due at each
-// event — per-shard accounting catches up lazily — and finds the next
-// event through the indexed bound heap (eventq.go) or the reference
-// linear scan (EventQueue()). All paths produce bit-identical results,
-// and results are independent of how the advancement is sliced into
-// StepTo calls (TestSystemStepToSegments): a skipped tick and an
-// executed quiescent tick are equivalent by the engine invariant
-// documented in engine.go.
+// construction (Engine()). There is one event loop for any shard
+// count: it skips ticks no component can act on, executes only the
+// shards due at each event — per-shard accounting catches up lazily —
+// and finds the next event through the indexed bound heap (eventq.go).
+// The ticked engine (every shard, every cycle) and the linear bound
+// scan (EventQueue()) are named differential oracles that the CI
+// matrix runs. All paths produce bit-identical results, and results
+// are independent of how the advancement is sliced into StepTo calls
+// (TestSystemStepToSegments): a skipped tick and an executed quiescent
+// tick are equivalent by the engine invariant documented in engine.go.
 //
 // A System steps one simulated clock and is not safe for concurrent
 // use. Use one instance per goroutine; the experiment engine (pool.go)
@@ -73,10 +73,9 @@ type System struct {
 	injPeak     int                // high-water mark of injLive
 	injRecycled int64              // InjectRNG calls served from irFree
 
-	// Sharded event-loop next-event index (eventq.go): the heap holds
-	// per-shard bound entries with lazy invalidation; dirty lists the
-	// shards whose cached bound must be recomputed before the next
-	// lookup.
+	// Event-loop next-event index (eventq.go): the heap holds one
+	// bound slot per shard; dirty lists the shards whose cached bound
+	// must be recomputed before the next lookup.
 	heap  boundHeap
 	dirty []int32
 
@@ -101,7 +100,7 @@ type System struct {
 // channelShard is one independent DRAM channel of the System: its own
 // controller, device, TRNG mechanism instance, RNG buffer, and cores,
 // plus the shard-local injection state and the event-loop bookkeeping
-// that lets the sharded engine execute only the shards due at a tick.
+// that lets the event engine execute only the shards due at a tick.
 type channelShard struct {
 	idx   int
 	mcfg  memctrl.Config
@@ -120,16 +119,14 @@ type channelShard struct {
 	coresStalled   bool
 	coresStalledEv int64
 
-	// Sharded event-loop state. accounted is the next tick this shard
-	// must account (every tick below it has been executed or credited
-	// through AccountSkip); bound caches the shard's next-event lower
-	// bound; gen stamps the shard's live heap entry (lazy invalidation);
+	// Event-loop state. accounted is the next tick this shard must
+	// account (every tick below it has been executed or credited through
+	// AccountSkip); bound caches the shard's next-event lower bound;
 	// finishedCores caches the done-detection count across quiescent
 	// events.
 	accounted     int64
 	bound         int64
 	boundValid    bool
-	gen           uint32
 	queuedDirty   bool
 	finishedCores int
 
@@ -305,6 +302,7 @@ func NewSystem(cfg RunConfig) *System {
 	if s.totalCores == 0 && cfg.Clients == 0 {
 		panic("sim: empty mix")
 	}
+	s.heap = newBoundHeap(len(s.shards))
 	return s
 }
 
@@ -335,75 +333,49 @@ func (s *System) Step() { s.StepTo(s.now) }
 // run into StepTo calls never changes the outcome: boundaries clamp
 // the event engine's skips, and executing a tick the engine could have
 // skipped is a no-op by the engine invariant (engine.go).
+//
+// The event loop executes, per event, only the shards that are due —
+// whose cached bound has arrived, or that just received an arrival —
+// and lazily catches up each executing shard's skip accounting from
+// wherever it last ran. Between events the next tick comes from the
+// indexed bound heap (or the reference scan; EventQueue()), clamped by
+// the next scheduled arrival and the StepTo boundary. At every boundary
+// the remaining accounting is flushed so Result() and the slicing
+// invariant see fully accounted ticks. The ticked oracle runs the same
+// execDue once per tick; no shard's bound is ever valid there, so
+// every shard executes every tick.
+//
+//drstrange:noalloc
 func (s *System) StepTo(cycle int64) {
 	if s.done {
 		return
 	}
-	switch {
-	case s.engine == EngineTicked:
-		s.stepTicked(cycle)
-	case len(s.shards) == 1:
-		s.stepSingle(cycle)
-	default:
-		s.stepSharded(cycle)
+	if s.engine == EngineTicked {
+		for ; s.now <= cycle; s.now++ {
+			if s.execDue(s.now) {
+				return
+			}
+		}
+		return
 	}
-}
-
-// stepTicked is the reference tick-by-tick walk: every shard executes
-// every tick in lockstep.
-func (s *System) stepTicked(cycle int64) {
 	for s.now <= cycle {
-		if s.execTick(s.now) {
+		t := s.now
+		if s.execDue(t) {
+			s.flushAccounting(s.doneTick)
 			return
 		}
-		s.now++
-	}
-}
-
-// stepSingle is the single-shard event loop — the engine exactly as it
-// ran before sharding, kept as its own path so every single-channel
-// golden stays byte-identical by construction.
-//
-//drstrange:noalloc
-func (s *System) stepSingle(cycle int64) {
-	sh := s.shards[0]
-	for s.now <= cycle {
-		now := s.now
-		if s.execTick(now) {
-			return
+		next := s.nextShardEvent(t)
+		if s.schedHead < len(s.sched) {
+			if at := s.sched[s.schedHead].SubmitTick; at < next {
+				next = at
+			}
 		}
-		next := s.singleNextEvent(sh, now)
 		if next > cycle+1 {
 			next = cycle + 1
 		}
-		if n := next - now - 1; n > 0 {
-			sh.ctrl.AccountSkip(now, n)
-			for _, c := range sh.cores {
-				c.AccountSkip(n)
-			}
-		}
 		s.now = next
 	}
-}
-
-// singleNextEvent lower-bounds the next tick at which any component of
-// the single shard — controller, core, or the injection port — can
-// change state (the historical nextEventTick).
-//
-//drstrange:noalloc
-func (s *System) singleNextEvent(sh *channelShard, now int64) int64 {
-	if sh.waitHead < len(sh.waiting) {
-		// A submission blocked on RNG-queue backpressure retries every
-		// tick: queue space frees inside controller ticks.
-		return now + 1
-	}
-	next := sh.componentBound(now)
-	if s.schedHead < len(s.sched) {
-		if t := s.sched[s.schedHead].SubmitTick; t < next {
-			next = t
-		}
-	}
-	return next
+	s.flushAccounting(cycle)
 }
 
 // componentBound lower-bounds the shard's next component event: the
@@ -453,37 +425,6 @@ func (sh *channelShard) componentBound(now int64) int64 {
 	return next
 }
 
-// stepSharded is the multi-shard event loop. Per event it executes only
-// the shards that are due — whose cached bound has arrived, or that
-// just received an arrival — and lazily catches up each executing
-// shard's skip accounting from wherever it last ran. Between events the
-// next tick comes from the indexed bound heap (or the reference scan;
-// EventQueue()), clamped by the next scheduled arrival and the StepTo
-// boundary. At every boundary the remaining accounting is flushed so
-// Result() and the slicing invariant see fully accounted ticks.
-//
-//drstrange:noalloc
-func (s *System) stepSharded(cycle int64) {
-	for s.now <= cycle {
-		t := s.now
-		if s.execDue(t) {
-			s.flushAccounting(s.doneTick)
-			return
-		}
-		next := s.nextShardEvent(t)
-		if s.schedHead < len(s.sched) {
-			if at := s.sched[s.schedHead].SubmitTick; at < next {
-				next = at
-			}
-		}
-		if next > cycle+1 {
-			next = cycle + 1
-		}
-		s.now = next
-	}
-	s.flushAccounting(cycle)
-}
-
 // execDue runs tick t on every due shard (stale bound, pending
 // submissions, or a fresh arrival) after routing the arrivals due at t,
 // and reports whether the run completed at t. Quiescent shards
@@ -501,7 +442,7 @@ func (s *System) execDue(t int64) bool {
 			finished += sh.finishedCores
 			continue
 		}
-		s.catchUp(sh, t)
+		sh.catchUp(t)
 		if sh.health != nil {
 			s.healthTick(sh, t)
 		}
@@ -535,37 +476,32 @@ func (s *System) execDue(t int64) bool {
 	return false
 }
 
-// catchUp credits the shard's skipped ticks accounted..t-1 before it
-// executes t. The range lies inside the shard's proven-quiescent window
-// (its bound never overshoots a state change), and AccountSkip over a
-// quiescent window is split-range exact — the blocked/idle predicates
-// it consults cannot flip mid-window — so lazy crediting equals the
-// eager per-event crediting of the single-shard loop.
+// catchUp credits the shard's skipped ticks accounted..t-1, before it
+// executes t or at a StepTo boundary. The range lies inside the shard's
+// proven-quiescent window (its bound never overshoots a state change),
+// and AccountSkip over a quiescent window is split-range exact — the
+// predicates it consults cannot change mid-window — so lazy crediting
+// equals crediting at every event.
 //
 //drstrange:noalloc
-func (s *System) catchUp(sh *channelShard, t int64) {
+func (sh *channelShard) catchUp(t int64) {
 	if n := t - sh.accounted; n > 0 {
 		sh.ctrl.AccountSkip(sh.accounted-1, n)
 		for _, c := range sh.cores {
 			c.AccountSkip(n)
 		}
+		sh.accounted = t
 	}
 }
 
 // flushAccounting credits every shard through tick cycle: StepTo
 // boundaries and run completion must leave all ticks <= cycle fully
-// accounted, exactly like the eager loops.
+// accounted.
 //
 //drstrange:noalloc
 func (s *System) flushAccounting(cycle int64) {
 	for _, sh := range s.shards {
-		if n := cycle + 1 - sh.accounted; n > 0 {
-			sh.ctrl.AccountSkip(sh.accounted-1, n)
-			for _, c := range sh.cores {
-				c.AccountSkip(n)
-			}
-			sh.accounted = cycle + 1
-		}
+		sh.catchUp(cycle + 1)
 	}
 }
 
@@ -598,30 +534,13 @@ func (s *System) nextShardEvent(now int64) int64 {
 		sh.bound = b
 		sh.boundValid = true
 		if useHeap {
-			sh.gen++
-			s.heap.push(heapEntry{tick: b, shard: int32(sh.idx), gen: sh.gen})
+			s.heap.set(idx, b)
 		}
 	}
 	s.dirty = s.dirty[:0]
 
 	if useHeap {
-		if s.heap.len() > 2*len(s.shards)+16 {
-			//drstrange:alloc-ok non-escaping callback on the rare compaction branch; pinned by TestHotLoopZeroAllocs
-			s.heap.compact(func(e heapEntry) bool {
-				return s.shards[e.shard].gen == e.gen
-			})
-		}
-		for {
-			top, ok := s.heap.peek()
-			if !ok {
-				return farFuture
-			}
-			if s.shards[top.shard].gen != top.gen {
-				s.heap.pop()
-				continue
-			}
-			return top.tick
-		}
+		return s.heap.min()
 	}
 	next := farFuture
 	for _, sh := range s.shards {
@@ -630,47 +549,6 @@ func (s *System) nextShardEvent(now int64) int64 {
 		}
 	}
 	return next
-}
-
-// execTick runs every shard through tick t in lockstep — arrival
-// routing, injection-port submissions, the controller, the cores,
-// injected-request completion collection — and reports whether the run
-// completed at t. The ticked engine and the single-shard event loop
-// share this path.
-//
-//drstrange:noalloc
-func (s *System) execTick(t int64) bool {
-	if s.schedHead < len(s.sched) {
-		s.routeArrivals(t)
-	}
-	finished := 0
-	for _, sh := range s.shards {
-		if sh.health != nil {
-			s.healthTick(sh, t)
-		}
-		if sh.dlWaiting > 0 {
-			s.deadlineTick(sh, t)
-		}
-		if sh.waitHead < len(sh.waiting) {
-			s.admitShard(sh, t)
-		}
-		sh.ctrl.Tick(t)
-		for _, c := range sh.cores {
-			c.Tick(t)
-			if c.Finished() {
-				finished++
-			}
-		}
-		if len(sh.outstanding) > 0 {
-			s.collectShard(sh)
-		}
-	}
-	if s.totalCores > 0 && finished == s.totalCores {
-		s.done = true
-		s.doneTick = t
-		return true
-	}
-	return false
 }
 
 // routeArrivals dispatches every scheduled arrival due at tick t to a
