@@ -63,9 +63,11 @@ lint-custom:
 lint: fmt vet staticcheck lint-custom
 
 # One iteration of the Figure 1 driver at a small budget: end-to-end
-# smoke of the sweep machinery.
+# smoke of the sweep machinery; then one iteration of the controller
+# tick layer benchmark, so it keeps compiling and running.
 bench-smoke:
 	DRSTRANGE_INSTR=5000 $(GO) test -run '^$$' -bench BenchmarkFigure1 -benchtime 1x .
+	$(GO) test -run '^$$' -bench ControllerTick -benchtime 1x ./internal/memctrl
 
 # Machine-readable perf trajectory: run every benchmark once — the
 # figure drivers plus the open-loop ServeLoad serving sweeps — and emit

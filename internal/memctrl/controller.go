@@ -200,11 +200,20 @@ func (c *Controller) EntropySuspect() bool { return c.entropySuspect }
 // UnblockEvents returns a monotone counter of events that could unstall
 // a fully stalled core: a request completing (Done set) or a request
 // leaving a bounded queue (freeing the slot a backpressured dispatch is
-// waiting for). A core that reported the far-future NextEventTick
-// sentinel stays stalled for as long as this counter holds still, which
-// lets the engine skip re-scanning cores between controller events.
+// waiting for).
+//
+// Contract: any call that sets Done on a read or RNG request moves this
+// counter before it returns. Two callers rely on it:
+//
+//   - the event engine's all-cores-stalled cache: a core that reported
+//     the far-future NextEventTick sentinel stays stalled for as long as
+//     this counter holds still, so the core scan is skipped in between;
+//   - the injection port's completion collection (sim's collectShard):
+//     with the counter unmoved no outstanding word can have become Done,
+//     so the scan is skipped.
+//
 // Over-counting is safe (an extra rescan); under-counting would break
-// the engine invariant, so every pop/Done site bumps it.
+// both, so every pop/Done site bumps it.
 func (c *Controller) UnblockEvents() int64 { return c.unblocks }
 
 // Device exposes the DRAM device (energy model, tests).
@@ -434,6 +443,10 @@ func compactFIFO(q []*Request, head int) ([]*Request, int) {
 //     channels as the outstanding bit demand needs are switched,
 //     preferring the least-loaded channels.
 //
+// Its cost per tick is bounded by the channel count, not the RNG queue
+// depth: the demand count stops at len(c.chans) (demandChannels) and the
+// priority check stops at its first deciding request (rngPriorityWins).
+//
 //drstrange:noalloc
 func (c *Controller) planDemand(now int64) []bool {
 	enter := c.enterScratch
@@ -469,21 +482,25 @@ func (c *Controller) planDemand(now int64) []bool {
 		c.forceOverride = false
 	}
 
-	// How many channels must generate to cover outstanding demand?
-	remaining := 0.0
-	for _, r := range c.rngQ {
-		remaining += r.BitsRemaining()
-	}
+	// How many channels must generate to cover outstanding demand? At
+	// most len(c.chans) candidates exist, so the count is capped there,
+	// and the queue-order sum stops at the first prefix that already
+	// reaches the cap (the addends are non-negative and float addition
+	// and subtraction are monotone, so the full sum would too).
 	active := 0
 	for i := range c.chans {
 		if c.chans[i].mode != modeRegular && c.chans[i].ctx == ctxDemand {
 			active++
-			remaining -= c.cfg.Mech.RoundBits
 		}
 	}
+	limit := len(c.chans)
 	wanted := 0
-	for bits := remaining; bits > 0; bits -= c.cfg.Mech.RoundBits {
-		wanted++
+	remaining := 0.0
+	for _, r := range c.rngQ {
+		remaining += r.BitsRemaining()
+		if wanted = c.demandChannels(remaining, active, limit); wanted == limit {
+			break
+		}
 	}
 	if wanted <= 0 {
 		return enter
@@ -533,6 +550,23 @@ func (c *Controller) planDemand(now int64) []bool {
 	return enter
 }
 
+// demandChannels counts the extra generating channels that outstanding
+// demand of bits needs once the active demand-mode channels each take
+// one round, capped at limit. It performs an uncapped count's float
+// operations step for step, so below the cap the result is that count.
+//
+//drstrange:noalloc
+func (c *Controller) demandChannels(bits float64, active, limit int) int {
+	for ; active > 0; active-- {
+		bits -= c.cfg.Mech.RoundBits
+	}
+	n := 0
+	for ; n < limit && bits > 0; bits -= c.cfg.Mech.RoundBits {
+		n++
+	}
+	return n
+}
+
 // countStall applies n ticks of planDemand's starvation-counter update
 // (Section 5.2): the counter resets while the RNG queue is empty or no
 // regular read waits, resets when the deprioritized side flips, and
@@ -564,14 +598,13 @@ func (c *Controller) countStall(n int64) (rngWins, bothBusy bool) {
 // rngPriorityWins applies the Section 5.2 priority rules: the RNG queue
 // is chosen when the highest-priority RNG application with a queued
 // request outranks (or ties) every non-RNG application with a queued
-// regular read.
+// regular read. The read queues are scanned first: with no non-RNG read
+// queued the RNG queue wins without being read, and otherwise the scan
+// stops at the first RNG request that reaches pN — the same predicate
+// as max priority >= pN. Callers guarantee a non-empty RNG queue.
+//
+//drstrange:noalloc
 func (c *Controller) rngPriorityWins() bool {
-	pR := -1 << 30
-	for _, r := range c.rngQ {
-		if p := c.priorities[r.Core]; p > pR {
-			pR = p
-		}
-	}
 	pN := -1 << 30
 	seen := false
 	for i := range c.chans {
@@ -587,9 +620,17 @@ func (c *Controller) rngPriorityWins() bool {
 	if !seen {
 		return true
 	}
-	return pR >= pN // equal priorities favor RNG (Section 5.2)
+	for _, r := range c.rngQ {
+		if c.priorities[r.Core] >= pN { // equal priorities favor RNG (Section 5.2)
+			return true
+		}
+	}
+	return false
 }
 
+// anyReadQueued reports whether any channel has a regular read queued.
+//
+//drstrange:noalloc
 func (c *Controller) anyReadQueued() bool {
 	for i := range c.chans {
 		if len(c.chans[i].readQ) > 0 {

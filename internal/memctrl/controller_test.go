@@ -1,6 +1,7 @@
 package memctrl
 
 import (
+	"math/rand"
 	"testing"
 
 	"drstrange/internal/dram"
@@ -763,5 +764,64 @@ func TestSubmitRNGPriOrdering(t *testing.T) {
 	}
 	if _, ok := c.SubmitRNGPri(7, 0, 2, 1); ok {
 		t.Fatal("submission accepted past RNGQueueCap")
+	}
+}
+
+// TestUnblockEventsMovesOnEveryCompletion pins the UnblockEvents
+// contract that the event engine's stalled-core cache and the injection
+// port's completion collection both rely on: any tick at which a read
+// or RNG request becomes Done moves the counter. The drive mixes reads,
+// posted writes, buffer hits and on-demand RNG generation, under both
+// integration policies.
+func TestUnblockEventsMovesOnEveryCompletion(t *testing.T) {
+	for _, policy := range []RNGPolicy{RNGAware, RNGOblivious} {
+		cfg := DefaultConfig(3)
+		cfg.Policy = policy
+		if policy == RNGAware {
+			cfg.Buffer = newTestBuffer(4)
+			cfg.Fill = FillPredictor
+			cfg.Predictor = &fixedPredictor{long: true}
+		}
+		c := mustController(t, cfg)
+		g := cfg.Geom
+		r := rand.New(rand.NewSource(int64(policy) + 7))
+		var pending []*Request
+		for now := int64(0); now < 20000; now++ {
+			switch k := r.Intn(16); {
+			case k < 3:
+				line := lineFor(g, r.Intn(g.Channels), r.Intn(8), r.Intn(4), r.Intn(8))
+				if req, ok := c.SubmitRead(line, r.Intn(2), now); ok {
+					pending = append(pending, req)
+				}
+			case k < 5:
+				c.SubmitWrite(lineFor(g, r.Intn(g.Channels), r.Intn(8), r.Intn(4), r.Intn(8)), 0, now)
+			case k == 5:
+				if req, ok := c.SubmitRNG(1+r.Intn(2), now); ok {
+					pending = append(pending, req)
+				}
+			}
+			before := c.UnblockEvents()
+			c.Tick(now)
+			completed := 0
+			live := pending[:0]
+			for _, req := range pending {
+				if req.Done {
+					completed++
+				} else {
+					live = append(live, req)
+				}
+			}
+			pending = live
+			if completed > 0 && c.UnblockEvents() == before {
+				t.Fatalf("policy %d tick %d: %d requests completed but UnblockEvents stayed at %d", policy, now, completed, before)
+			}
+		}
+		st := c.Stats()
+		if st.ReadsServed == 0 || st.WritesServed == 0 || st.RNGServed == st.RNGFromBuffer {
+			t.Fatalf("policy %d: drive missed a completion kind: %+v", policy, st)
+		}
+		if policy == RNGAware && st.RNGFromBuffer == 0 {
+			t.Fatalf("policy %d: no buffer hit exercised: %+v", policy, st)
+		}
 	}
 }

@@ -119,6 +119,11 @@ type channelShard struct {
 	coresStalled   bool
 	coresStalledEv int64
 
+	// collectedEv is the controller's unblock-event count at the last
+	// completion collection: until it moves no outstanding word can have
+	// completed, so execDue skips collectShard.
+	collectedEv int64
+
 	// Event-loop state. accounted is the next tick this shard must
 	// account (every tick below it has been executed or credited through
 	// AccountSkip); bound caches the shard's next-event lower bound;
@@ -462,8 +467,11 @@ func (s *System) execDue(t int64) bool {
 		}
 		sh.finishedCores = fin
 		finished += fin
-		if len(sh.outstanding) > 0 {
-			s.collectShard(sh)
+		if ev := sh.ctrl.UnblockEvents(); ev != sh.collectedEv {
+			sh.collectedEv = ev
+			if len(sh.outstanding) > 0 {
+				s.collectShard(sh)
+			}
 		}
 		sh.accounted = t + 1
 		s.markDirty(sh)
@@ -839,7 +847,9 @@ func (s *System) admitShard(sh *channelShard, t int64) {
 // each request's completion tick when its last word finishes. The
 // word's controller request is recycled here — the injection port holds
 // the system's last reference, exactly as a core's instruction window
-// does.
+// does. execDue calls it only when the controller's UnblockEvents count
+// has moved since the last call: every completion bumps that count, so a
+// skipped scan is one that would have found no Done word.
 //
 //drstrange:noalloc
 func (s *System) collectShard(sh *channelShard) {
